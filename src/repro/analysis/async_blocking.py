@@ -1,8 +1,12 @@
 """async-blocking-call: no synchronous IO on the event loop.
 
 The serving design runs **all** blocking engine work on the thread-pool
-executor (``ColeServer._run``); the event loop only parses frames and
-awaits futures.  One stray ``fsync`` or gate acquisition inside an
+executor (``ColeServer._run``); the event loop parses frames, awaits
+futures, and calls only the engine's non-blocking read tier
+(``engine.try_get`` / ``try_get_at`` / ``try_get_many`` / ``try_scan``,
+see :mod:`repro.core.readtier`), which try-acquires the gate and reads
+only pages already in the OS page cache, answering "incomplete" instead
+of waiting.  One stray ``fsync`` or gate acquisition inside an
 ``async def`` stalls every connection on the server — and nothing
 crashes, it just gets slow, which is why this must be a lint rule and
 not a code review hope.
@@ -22,7 +26,10 @@ are skipped — they are the executor thunks themselves.  Flagged calls:
 
 The sanctioned escape is an executor hop: passing the bound method to
 ``run_in_executor``/``to_thread`` (or ``self._run``) is not a call and
-is never flagged.
+is never flagged.  The read tier's ``try_*`` methods are the only engine
+calls allowed on the loop, by exact name; a ``getattr`` on an ``engine``
+receiver naming an engine method is flagged, because a dynamic lookup
+hides the call from this rule.
 """
 
 from __future__ import annotations
@@ -86,6 +93,13 @@ ENGINE_METHODS = {
     "wait_for_merges",
 }
 
+#: The engine's non-blocking read tier: each try-acquires the
+#: CommitGate (never waits for it), reads pages with RWF_NOWAIT (never
+#: waits for the disk) and stops at the inline budget, returning an
+#: ``Incomplete`` sentinel where the blocking twin would wait — safe on
+#: the event loop.  Exempt by these exact names only.
+NON_BLOCKING_ENGINE_METHODS = {"try_get", "try_get_at", "try_get_many", "try_scan"}
+
 #: WAL methods that hit the filesystem (append = write syscall,
 #: sync = fsync, close = flush + fsync).
 WAL_METHODS = {"append_put", "append_puts", "append_commit", "sync", "close"}
@@ -95,6 +109,19 @@ def _classify(call: ast.Call) -> Optional[str]:
     name = dotted_name(call.func)
     if name is None:
         return None
+    if name == "getattr" and len(call.args) >= 2:
+        target = dotted_name(call.args[0])
+        attr = call.args[1]
+        if (
+            target is not None
+            and target.split(".")[-1] == "engine"
+            and isinstance(attr, ast.Constant)
+            and attr.value in ENGINE_METHODS | NON_BLOCKING_ENGINE_METHODS
+        ):
+            return (
+                f"getattr(engine, {attr.value!r}) hides the engine call from "
+                "this rule; call engine methods by name"
+            )
     if name in BLOCKING_CALLS:
         return f"blocking call {name}()"
     if name in BLOCKING_CONSTRUCTORS:
@@ -104,6 +131,8 @@ def _classify(call: ast.Call) -> Optional[str]:
         receiver, method = parts[-2], parts[-1]
         if receiver == "gate" and method in GATE_METHODS:
             return f"CommitGate.{method}() blocks the loop"
+        if receiver == "engine" and method in NON_BLOCKING_ENGINE_METHODS:
+            return None
         if receiver == "engine" and method in ENGINE_METHODS:
             return f"engine.{method}() takes the CommitGate"
         if receiver == "wal" and method in WAL_METHODS:

@@ -20,11 +20,14 @@ Three sub-checks, per class that constructs a ``CommitGate`` in its
    attribute inside a *public* method must sit lexically inside a
    ``with self.gate.exclusive():`` block (dunder methods are exempt:
    construction and teardown are single-threaded by contract);
-2. **nested acquisition** — a ``with self.gate...`` inside another, or a
-   call to a public gate-acquiring method of the same class while a gate
-   block is open, self-deadlocks on the non-reentrant gate;
-3. **gate in async def** — any gate acquisition lexically inside an
-   ``async def`` (anywhere in the tree) without an executor hop.
+2. **nested acquisition** — a ``with self.gate...`` inside another, a
+   ``self.gate.try_acquire_shared()`` inside a gate block, or a call to
+   a public gate-acquiring method of the same class (blocking or
+   try-acquiring) while a gate block is open, self-deadlocks on the
+   non-reentrant gate (or, for a try-acquire, can never succeed);
+3. **gate in async def** — any *blocking* gate acquisition lexically
+   inside an ``async def`` (anywhere in the tree) without an executor
+   hop.  ``try_acquire_shared`` never waits and is allowed there.
 """
 
 from __future__ import annotations
@@ -53,16 +56,28 @@ GATE_ACQUIRE_METHODS = {
     "acquire_exclusive",
 }
 
+#: Non-blocking acquisitions: they return ``False`` instead of waiting,
+#: so an ``async def`` may call them (the engine's read tier runs on the
+#: event loop).  They still *acquire*: under a held gate a try-acquire
+#: either fails every time (exclusive held) or nests a shared hold, so
+#: the nesting sub-checks treat them like any acquisition.
+GATE_TRY_METHODS = {"try_acquire_shared"}
+
 
 def _gate_call_on_self(node: ast.AST) -> Optional[str]:
-    """Return the method name for ``self.gate.<m>(...)`` calls, else None."""
+    """Return the method name for ``self.gate.<m>(...)`` acquisitions
+    (blocking or try), else None."""
     if not isinstance(node, ast.Call):
         return None
     name = dotted_name(node.func)
     if name is None:
         return None
     parts = name.split(".")
-    if len(parts) >= 3 and parts[-2] == "gate" and parts[-1] in GATE_ACQUIRE_METHODS:
+    if (
+        len(parts) >= 3
+        and parts[-2] == "gate"
+        and parts[-1] in GATE_ACQUIRE_METHODS | GATE_TRY_METHODS
+    ):
         return parts[-1]
     return None
 
@@ -199,6 +214,19 @@ class GateDisciplineChecker(Checker):
                                 "in a public method",
                             )
                         )
+                if (
+                    gate_depth > 0
+                    and _gate_call_on_self(child) in GATE_TRY_METHODS
+                ):
+                    findings.append(
+                        Finding(
+                            RULE,
+                            src.path,
+                            child.lineno,
+                            f"{cls.node.name}.{method}: try-acquires self.gate "
+                            "while holding it — the CommitGate is not reentrant",
+                        )
+                    )
                 if gate_depth > 0 and isinstance(child, ast.Call):
                     callee = dotted_name(child.func)
                     if callee is not None:

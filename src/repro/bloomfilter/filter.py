@@ -3,17 +3,23 @@
 Double hashing (Kirsch & Mitzenmacher) derives the k probe positions from
 two independent halves of a single SHA-256 digest, so membership is
 deterministic across processes — required because blockchain nodes must
-agree on the filter bytes that are hashed into the state root.
+agree on the filter bytes that are hashed into the state root.  The
+digest does not depend on the filter, so one hash of an address serves
+every filter it is probed against (:meth:`BloomFilter.hash_pair`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from typing import Tuple
 
 from repro.common.codec import decode_u32, encode_u32
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_bytes
+
+#: ``(h1, h2)`` from :meth:`BloomFilter.hash_pair`.
+HashPair = Tuple[int, int]
 
 
 class BloomFilter:
@@ -38,28 +44,57 @@ class BloomFilter:
 
     # -- membership ----------------------------------------------------------
 
+    @staticmethod
+    def hash_pair(item: bytes) -> HashPair:
+        """The ``(h1, h2)`` double-hashing pair of ``item``: the two
+        halves of one SHA-256 digest, ``h2`` forced odd.
+
+        The one definition of the filter's hashing.  It does not depend
+        on the filter's size, so a reader probing many filters (one per
+        run) hashes an address once and hands the pair to each
+        :meth:`contains_hashed` (Kirsch & Mitzenmacher, "Less Hashing,
+        Same Performance").
+        """
+        digest = hashlib.sha256(item).digest()
+        return (
+            int.from_bytes(digest[:16], "big"),
+            int.from_bytes(digest[16:], "big") | 1,  # odd => full cycle
+        )
+
     def add(self, item: bytes) -> None:
         """Insert ``item`` into the filter."""
-        for position in self._positions(item):
-            self._bits[position >> 3] |= 1 << (position & 7)
+        h1, h2 = self.hash_pair(item)
+        bits, num_bits = self._bits, self.num_bits
+        for i in range(self.num_hashes):
+            position = (h1 + i * h2) % num_bits
+            bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
         self._cached_digest = None
 
+    def contains_hashed(self, pair: HashPair) -> bool:
+        """Membership of the item whose :meth:`hash_pair` is ``pair``.
+
+        Probes position ``(h1 + i*h2) mod m`` for ``i = 0..k-1`` and
+        stops at the first clear bit, so a true negative usually costs
+        one or two probes instead of ``k``.
+        """
+        bits, num_bits = self._bits, self.num_bits
+        position = pair[0] % num_bits
+        step = pair[1] % num_bits
+        for _ in range(self.num_hashes):
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+            position += step
+            if position >= num_bits:
+                position -= num_bits
+        return True
+
     def __contains__(self, item: bytes) -> bool:
-        return all(
-            self._bits[position >> 3] & (1 << (position & 7))
-            for position in self._positions(item)
-        )
+        return self.contains_hashed(self.hash_pair(item))
 
     def may_contain(self, item: bytes) -> bool:
         """True if ``item`` may be present (false positives possible)."""
         return item in self
-
-    def _positions(self, item: bytes) -> list[int]:
-        digest = hashlib.sha256(item).digest()
-        h1 = int.from_bytes(digest[:16], "big")
-        h2 = int.from_bytes(digest[16:], "big") | 1  # odd => full cycle
-        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
 
     # -- statistics ----------------------------------------------------------
 

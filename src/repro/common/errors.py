@@ -24,3 +24,20 @@ class VerificationError(ReproError):
 
 class RecoveryError(ReproError):
     """Crash recovery could not restore a consistent state."""
+
+
+class WouldBlockError(ReproError):
+    """A no-wait read could not complete without waiting.
+
+    Raised by :class:`~repro.diskio.pagefile.PagedFile` in no-wait mode
+    (see :mod:`repro.diskio.nowait`) when a page is not in the OS page
+    cache, or when the filesystem cannot answer a no-wait read at all
+    (tmpfs refuses ``RWF_NOWAIT`` with EOPNOTSUPP).  The engine's
+    non-blocking read tier turns it into an "incomplete" answer; it
+    never escapes a blocking read.
+    """
+
+
+class ReadBudgetExceeded(WouldBlockError):
+    """A no-wait read ran past its time budget (the read tier's bound
+    on how long one request may keep the event loop)."""

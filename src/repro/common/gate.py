@@ -59,6 +59,27 @@ class CommitGate:
         if self._debug_name is not None:
             track_acquire(self._debug_name)
 
+    def try_acquire_shared(self) -> bool:
+        """Non-blocking :meth:`acquire_shared`: ``True`` if the gate is
+        now held shared, ``False`` at once if a writer is active or
+        waiting (or the gate's own lock is momentarily taken).
+
+        The entry of the engine's non-blocking read tier, which runs on
+        the event loop and must never wait; the caller releases with
+        :meth:`release_shared` exactly as after a blocking acquire.
+        """
+        if not self._cond.acquire(blocking=False):
+            return False
+        try:
+            if self._writer_active or self._writers_waiting:
+                return False
+            self._active_readers += 1
+        finally:
+            self._cond.release()
+        if self._debug_name is not None:
+            track_acquire(self._debug_name)
+        return True
+
     def release_shared(self) -> None:
         """Leave the reader side; wakes a waiting writer when last out."""
         with self._cond:

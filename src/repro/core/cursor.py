@@ -33,7 +33,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
+from repro.bloomfilter.filter import HashPair
 from repro.core.compound import MAX_BLK, addr_of_int, blk_of_int
+from repro.diskio.nowait import check_read_budget
 
 Entry = Tuple[int, bytes]  # (compound key as big int, value bytes)
 ScanTriple = Tuple[bytes, int, bytes]  # (addr, blk, value)
@@ -206,10 +208,11 @@ class ReadSource:
     def run(cls, label: str, run) -> "ReadSource":
         return cls(label=label, kind="run", source=run)
 
-    def may_contain(self, addr: bytes) -> bool:
-        """Bloom pre-check (runs only; L0 has no filter)."""
+    def may_contain(self, hashes: HashPair) -> bool:
+        """Bloom pre-check (runs only; L0 has no filter) on the address
+        whose ``BloomFilter.hash_pair`` is ``hashes``."""
         if self.kind == "run":
-            return self.source.may_contain(addr)
+            return self.source.may_contain(hashes)
         return True
 
     def overlaps(self, key_low: int, key_high: int) -> bool:
@@ -302,6 +305,9 @@ def scan_sources(
     for triple in resolve_versions(
         iter(merged), at_blk=at_blk, addr_size=addr_size, key_high=key_high
     ):
+        # L0 cursors stream without page reads; a no-wait caller's
+        # budget is checked per result too.
+        check_read_budget()
         out.append(triple)
         if limit is not None and len(out) >= limit:
             break

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.bloomfilter import BloomFilter
+from repro.bloomfilter.filter import HashPair
 from repro.common.errors import StorageError
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
@@ -169,16 +170,20 @@ class Run:
 
     # -- queries -------------------------------------------------------------------
 
-    def may_contain(self, addr: bytes) -> bool:
-        """Bloom pre-check on the address (Algorithm 7 line 2)."""
-        return addr in self.bloom
+    def may_contain(self, hashes: HashPair) -> bool:
+        """Bloom pre-check (Algorithm 7 line 2) on the address whose
+        :meth:`BloomFilter.hash_pair` is ``hashes`` — hashed once by a
+        caller that probes every run with the same address."""
+        return self.bloom.contains_hashed(hashes)
 
     def floor_search(self, key: int) -> Optional[Tuple[Entry, int]]:
         """Largest pair with pair key <= ``key``: learned index + page step.
 
         Returns ``(entry, position)`` or ``None`` if ``key`` precedes the
         whole run.  IO cost: one page per index layer (±1 on a miss) plus
-        one or two value-file pages — the ``Cmodel`` of Table 1.
+        one value-file page when the predicted page holds the floor, two
+        when the step crosses a page boundary — the ``Cmodel`` of
+        Table 1.
         """
         predicted = self.index_file.search(key)
         if predicted is None:
@@ -186,21 +191,28 @@ class Run:
         return self._floor_entry(key, predicted)
 
     def _floor_entry(self, key: int, predicted: int) -> Optional[Tuple[Entry, int]]:
+        # Every page is read once and probed from its bytes: the bounds
+        # check and the in-page floor search share one read (a second
+        # read would also count as a re-reference and promote a one-off
+        # point lookup's page in the segmented LRU).
         value_file = self.value_file
         last_page = value_file.page_of(self.num_entries - 1)
         page = min(max(predicted, 0), self.num_entries - 1) // value_file.pairs_per_page
-        first_key, last_key = value_file.page_bounds(page)
+        data = value_file.page_data(page)
+        first_key, last_key = value_file.bounds_in_data(data, page)
         while key < first_key and page > 0:
             page -= 1
-            first_key, last_key = value_file.page_bounds(page)
+            data = value_file.page_data(page)
+            first_key, last_key = value_file.bounds_in_data(data, page)
         if key < first_key:
             return None
         if key > last_key and page < last_page:
-            next_first, _next_last = value_file.page_bounds(page + 1)
+            next_data = value_file.page_data(page + 1)
+            next_first, _next_last = value_file.bounds_in_data(next_data, page + 1)
             if key >= next_first:
                 page += 1
-        found = value_file.floor_in_page(page, key)
-        return found
+                data = next_data
+        return value_file.floor_in_data(data, page, key)
 
     def cursor(self):
         """Key-ordered streaming cursor over this run

@@ -21,9 +21,10 @@ aborted merges restart.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.common.errors import StorageError
+from repro.bloomfilter import BloomFilter
+from repro.common.errors import ReadBudgetExceeded, StorageError, WouldBlockError
 from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ColeParams
@@ -43,8 +44,10 @@ from repro.core.proofs import (
     RunProofItem,
     StubItem,
 )
+from repro.core.readtier import GATE_BUSY, OVER_BUDGET, WOULD_BLOCK, Incomplete
 from repro.core.run import RUN_SUFFIXES, Run
 from repro.diskio.iostats import IOStats
+from repro.diskio.nowait import check_read_budget, no_wait_reads
 from repro.diskio.workspace import Workspace
 
 #: Name of the advisory workspace lock file (held via flock by the CLI's
@@ -398,6 +401,10 @@ class Cole:
         An address resolved by a fresher source is never probed again
         in older ones (Algorithm 6's first-hit-wins, batch-wide).
         """
+        with self.gate.shared():
+            return self._get_many(addrs)
+
+    def _get_many(self, addrs: List[bytes]) -> List[Optional[bytes]]:
         addr_size = self._addr_size()
         results: List[Optional[bytes]] = [None] * len(addrs)
         # Duplicates in one batch resolve to the same snapshot answer;
@@ -405,28 +412,33 @@ class Cole:
         pending: Dict[bytes, List[int]] = {}
         for index, addr in enumerate(addrs):
             pending.setdefault(addr, []).append(index)
-        with self.gate.shared():
-            for source in self._read_sources():
-                if not pending:
-                    break
-                candidates = sorted(
-                    addr for addr in pending if source.may_contain(addr)
-                )
-                for addr in candidates:
-                    found = source.floor_search(
-                        CompoundKey.latest_of(addr).to_int()
-                    )
-                    if found is not None and addr_of_int(found[0], addr_size) == addr:
-                        for index in pending.pop(addr):
-                            results[index] = found[1]
+        # A big batch can hash and probe L0 for long without reading a
+        # page, so a no-wait caller's budget is also checked per key.
+        hashes = {}  # one bloom hash per address serves every run's filter
+        for addr in pending:
+            check_read_budget()
+            hashes[addr] = BloomFilter.hash_pair(addr)
+        for source in self._read_sources():
+            if not pending:
+                break
+            candidates = sorted(
+                addr for addr in pending if source.may_contain(hashes[addr])
+            )
+            for addr in candidates:
+                check_read_budget()
+                found = source.floor_search(CompoundKey.latest_of(addr).to_int())
+                if found is not None and addr_of_int(found[0], addr_size) == addr:
+                    for index in pending.pop(addr):
+                        results[index] = found[1]
         return results
 
     def _lookup(self, key: int, addr: bytes) -> Optional[bytes]:
         """Floor-search every source in freshness order (Algorithm 6):
         the newest entry for ``addr`` with compound key <= ``key``."""
         addr_size = self._addr_size()
+        hashes = BloomFilter.hash_pair(addr)  # once, for every run's filter
         for source in self._read_sources():
-            if not source.may_contain(addr):
+            if not source.may_contain(hashes):
                 continue
             found = source.floor_search(key)
             if found is not None and addr_of_int(found[0], addr_size) == addr:
@@ -480,6 +492,21 @@ class Cole:
         continuation protocol builds on.  Runs under the gate shared
         for the whole scan, like every other query.
         """
+        query = self._scan_query(addr_low, addr_high, at_blk, limit)
+        if query is None:
+            return []
+        with self.gate.shared():
+            return query()
+
+    def _scan_query(
+        self,
+        addr_low: bytes,
+        addr_high: bytes,
+        at_blk: Optional[int],
+        limit: Optional[int],
+    ) -> Optional[Callable[[], List[ScanTriple]]]:
+        """Validate a scan request and return its ungated kernel (to run
+        under the gate), or ``None`` when the answer is empty."""
         addr_size = self._addr_size()
         if len(addr_low) != addr_size or len(addr_high) != addr_size:
             raise StorageError(f"scan bounds must be {addr_size}-byte addresses")
@@ -489,18 +516,71 @@ class Cole:
         if not 0 <= resolved_at <= MAX_BLK:
             raise StorageError(f"block height out of range: {at_blk}")
         if limit is not None and limit <= 0:
-            return []
+            return None
         key_low = CompoundKey(addr=addr_low, blk=0).to_int()
         key_high = CompoundKey(addr=addr_high, blk=MAX_BLK).to_int()
-        with self.gate.shared():
-            return scan_sources(
-                self._read_sources(),
-                key_low,
-                key_high,
-                at_blk=resolved_at,
-                addr_size=addr_size,
-                limit=limit,
-            )
+        return lambda: scan_sources(
+            self._read_sources(),
+            key_low,
+            key_high,
+            at_blk=resolved_at,
+            addr_size=addr_size,
+            limit=limit,
+        )
+
+    # -- non-blocking read tier (repro.core.readtier) -------------------------------
+
+    def try_get(self, addr: bytes) -> Union[Optional[bytes], Incomplete]:
+        """:meth:`get` that never waits: the answer, or an
+        :class:`~repro.core.readtier.Incomplete` sentinel when the gate
+        is busy, a page is not in the OS page cache, or the request ran
+        past its one-switch-interval budget."""
+        key = CompoundKey.latest_of(addr).to_int()
+        return self._try_read(lambda: self._lookup(key, addr))
+
+    def try_get_at(self, addr: bytes, blk: int) -> Union[Optional[bytes], Incomplete]:
+        """:meth:`get_at` that never waits (see :meth:`try_get`)."""
+        key = CompoundKey(addr=addr, blk=blk).to_int()
+        return self._try_read(lambda: self._lookup(key, addr))
+
+    def try_get_many(
+        self, addrs: List[bytes]
+    ) -> Union[List[Optional[bytes]], Incomplete]:
+        """:meth:`get_many` that never waits (see :meth:`try_get`): one
+        snapshot for the whole batch, or no answer at all."""
+        return self._try_read(lambda: self._get_many(addrs))
+
+    def try_scan(
+        self,
+        addr_low: bytes,
+        addr_high: bytes,
+        *,
+        at_blk: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> Union[List[ScanTriple], Incomplete]:
+        """:meth:`scan` that never waits (see :meth:`try_get`).  Invalid
+        bounds raise exactly as in :meth:`scan`."""
+        query = self._scan_query(addr_low, addr_high, at_blk, limit)
+        if query is None:
+            return []
+        return self._try_read(query)
+
+    def _try_read(self, read: Callable[[], Any]) -> Any:
+        """Run the ungated ``read`` under a try-acquired shared gate as
+        one no-wait :class:`~repro.diskio.nowait.Attempt` (settled while
+        the gate is still held, unless it joins a sharded caller's
+        attempt); map every "would wait" to its sentinel."""
+        if not self.gate.try_acquire_shared():
+            return GATE_BUSY
+        try:
+            with no_wait_reads():
+                return read()
+        except ReadBudgetExceeded:
+            return OVER_BUDGET
+        except WouldBlockError:
+            return WOULD_BLOCK
+        finally:
+            self.gate.release_shared()
 
     # -- provenance queries (Algorithm 8) ----------------------------------------
 
@@ -525,6 +605,7 @@ class Cole:
 
     def _prov_query(self, addr: bytes, blk_low: int, blk_high: int) -> ProvenanceResult:
         addr_int = int.from_bytes(addr, "big")
+        hashes = BloomFilter.hash_pair(addr)  # once, for every run's filter
         key_low = addr_int * 2**64 + blk_low - 1  # <addr, blk_low - 1>
         key_high = addr_int * 2**64 + min(blk_high + 1, MAX_BLK)
         addr_size = self._addr_size()
@@ -560,7 +641,7 @@ class Cole:
                     early_stop = True
                 continue
             run = source.source
-            if not run.may_contain(addr):
+            if not run.may_contain(hashes):
                 items_by_label[source.label] = RunNegativeItem(
                     bloom_bytes=run.bloom.to_bytes(), merkle_root=run.merkle_root
                 )

@@ -118,22 +118,29 @@ class ValueFile:
         data = self._file.read_page(self.page_of(position))
         return self._slot_entry(data, position % self._pairs_per_page)
 
-    def page_bounds(self, page_id: int) -> Tuple[int, int]:
-        """``(first_key, last_key)`` of ``page_id`` — one page read, two
-        key decodes (the page-stepping probe of Algorithm 7)."""
-        data = self._file.read_page(page_id)
+    def page_data(self, page_id: int) -> bytes:
+        """The raw bytes of ``page_id`` (one page read, minus cache
+        hits), for the ``*_in_data`` probes below."""
+        return self._file.read_page(page_id)
+
+    def bounds_in_data(self, data: bytes, page_id: int) -> Tuple[int, int]:
+        """``(first_key, last_key)`` of page ``page_id`` whose bytes are
+        ``data`` — two key decodes, no IO (the page-stepping probe of
+        Algorithm 7)."""
         count = self._page_count(page_id)
         if count <= 0:
             raise StorageError(f"page {page_id} has no entries")
         return self._slot_key(data, 0), self._slot_key(data, count - 1)
 
-    def floor_in_page(self, page_id: int, key: int) -> Optional[Tuple[Entry, int]]:
-        """Largest pair on ``page_id`` with pair key <= ``key``, if any.
+    def floor_in_data(
+        self, data: bytes, page_id: int, key: int
+    ) -> Optional[Tuple[Entry, int]]:
+        """Largest pair on page ``page_id`` (bytes ``data``) with pair
+        key <= ``key``, if any.
 
         Binary search over the raw page: ~log2(pairs_per_page) key
         decodes plus one pair decode for the hit.
         """
-        data = self._file.read_page(page_id)
         count = self._page_count(page_id)
         lo, hi = 0, count
         while lo < hi:
@@ -146,6 +153,10 @@ class ValueFile:
             return None
         slot = lo - 1
         return self._slot_entry(data, slot), page_id * self._pairs_per_page + slot
+
+    def floor_in_page(self, page_id: int, key: int) -> Optional[Tuple[Entry, int]]:
+        """:meth:`floor_in_data` on a fresh read of ``page_id``."""
+        return self.floor_in_data(self.page_data(page_id), page_id, key)
 
     def scan_from(
         self, position: int, sequential: bool = True

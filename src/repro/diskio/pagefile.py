@@ -20,18 +20,33 @@ additionally suppresses promotion on re-reference: a scan revisiting a
 page (two cursor seeks landing nearby) is still not evidence of
 point-read hotness.  Hit/miss/promotion counts are recorded in the
 :class:`IOStats` per category.
+
+A thread inside :func:`repro.diskio.nowait.no_wait_reads` reads in
+no-wait mode (``preadv`` with ``RWF_NOWAIT``): a page the OS would have
+to fetch from disk raises :class:`~repro.common.errors.WouldBlockError`
+instead of blocking — the IO half of the engine's non-blocking read
+tier.  Its cache and IOStats bookkeeping waits until the request
+answers (:meth:`PagedFile.settle_read`): a request that gives up and
+retries blocking is billed once.
 """
 
 from __future__ import annotations
 
+import errno
 import os
-import threading
 from collections import OrderedDict
 from typing import Optional
 
 from repro.common.debuglock import maybe_debug_lock
-from repro.common.errors import StorageError
+from repro.common.errors import StorageError, WouldBlockError
 from repro.diskio.iostats import IOStats
+from repro.diskio.nowait import TIER, Attempt
+
+#: ``preadv2`` flag for page-cache-only reads (Linux >= 4.14); absent
+#: elsewhere, where every no-wait read reports "would block".
+_RWF_NOWAIT = getattr(os, "RWF_NOWAIT", None)
+#: Errnos meaning "this filesystem cannot do no-wait reads at all".
+_NOWAIT_UNSUPPORTED = {errno.EOPNOTSUPP, errno.ENOTSUP}
 
 
 class PagedFile:
@@ -85,6 +100,8 @@ class PagedFile:
         # cache probe, so concurrent queries and background merges
         # sharing one handle no longer serialize on every page miss.
         self._lock = maybe_debug_lock("pagedfile-cache")
+        # Set once a no-wait read met a filesystem that rejects the flag.
+        self._nowait_unsupported = False
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -129,12 +146,18 @@ class PagedFile:
         merge reads): the page still fills/hits the cache, but a
         probationary hit does not promote — one scan pass must not look
         like point-read hotness to the segmented LRU.
+
+        Inside :func:`repro.diskio.nowait.no_wait_reads` the calling
+        thread reads in no-wait mode (:meth:`_read_nowait`).
         """
         self._check_open()
         if not 0 <= page_id < self._num_pages:
             raise StorageError(
                 f"page {page_id} out of range [0, {self._num_pages}) in {self.path}"
             )
+        attempt = TIER.attempt
+        if attempt is not None:
+            return self._read_nowait(attempt, page_id, sequential)
         if self._cache_capacity:
             with self._lock:
                 cached = self._cache_get(page_id, sequential)
@@ -147,13 +170,85 @@ class PagedFile:
             raise StorageError(f"short read of page {page_id} in {self.path}")
         self.stats.record_read(self.category)
         if self._cache_capacity:
-            with self._lock:
-                # A writer (or another reader) may have filled this slot
-                # while our pread ran lock-free; never clobber it — a
-                # concurrent write_page's fill is fresher than our read.
-                if page_id not in self._probation and page_id not in self._protected:
-                    self._cache_put(page_id, data)
+            self._fill(page_id, data)
         return data
+
+    def _fill(self, page_id: int, data: bytes) -> None:
+        with self._lock:
+            # A writer (or another reader) may have filled this slot
+            # while our pread ran lock-free; never clobber it — a
+            # concurrent write_page's fill is fresher than our read.
+            if page_id not in self._probation and page_id not in self._protected:
+                self._cache_put(page_id, data)
+
+    def _read_nowait(self, attempt: Attempt, page_id: int, sequential: bool) -> bytes:
+        """:meth:`read_page` in no-wait mode: the page comes from the
+        attempt's earlier reads, a peek at the cache (no promotion) or
+        the OS page cache, raising
+        :class:`~repro.common.errors.WouldBlockError` otherwise.  Neither
+        the cache nor the stats change here: the attempt records the
+        access and :meth:`settle_read` bills it once the request answers.
+        """
+        attempt.check()
+        key = (self, page_id)
+        data = attempt.pages.get(key)
+        if data is None and self._cache_capacity:
+            with self._lock:
+                data = self._protected.get(page_id)
+                if data is None:
+                    data = self._probation.get(page_id)
+        if data is None:
+            data = self._pread_nowait(page_id)
+        attempt.pages[key] = data
+        attempt.touched.append((self, page_id, sequential, data))
+        return data
+
+    def settle_read(self, page_id: int, sequential: bool, data: bytes) -> None:
+        """Bill a no-wait read of ``page_id`` (bytes ``data``) once its
+        request answered: the cache hit or miss, fill, promotion and
+        page read that :meth:`read_page` would have recorded then.  A
+        file closed in the meantime (its run merged away) is skipped."""
+        if self._closed:
+            return
+        if self._cache_capacity:
+            with self._lock:
+                cached = self._cache_get(page_id, sequential)
+            if cached is not None:
+                self.stats.record_cache_hit(self.category)
+                return
+            self.stats.record_cache_miss(self.category)
+        self.stats.record_read(self.category)
+        if self._cache_capacity:
+            self._fill(page_id, data)
+
+    def _pread_nowait(self, page_id: int) -> bytes:
+        """Read one page only if the OS page cache holds all of it.
+
+        ``preadv`` with ``RWF_NOWAIT`` fails with EAGAIN instead of
+        starting disk IO and may return a short count when only part
+        of the range is cached; both mean "would block".  A filesystem
+        that rejects the flag (tmpfs: EOPNOTSUPP) is remembered per
+        file, so later no-wait reads give up without a syscall.
+        """
+        if _RWF_NOWAIT is None or self._nowait_unsupported:
+            raise WouldBlockError(f"no-wait reads unsupported for {self.path}")
+        buffer = bytearray(self.page_size)
+        try:
+            count = os.preadv(
+                self._fd, [buffer], page_id * self.page_size, _RWF_NOWAIT
+            )
+        except BlockingIOError:
+            raise WouldBlockError(f"page {page_id} of {self.path} not cached") from None
+        except OSError as exc:
+            if exc.errno not in _NOWAIT_UNSUPPORTED:
+                raise
+            self._nowait_unsupported = True
+            raise WouldBlockError(
+                f"no-wait reads unsupported for {self.path}"
+            ) from None
+        if count != self.page_size:
+            raise WouldBlockError(f"page {page_id} of {self.path} partly cached")
+        return bytes(buffer)
 
     def write_page(self, page_id: int, data: bytes) -> None:
         """Overwrite page ``page_id`` with ``data`` (must fill the page)."""

@@ -363,7 +363,8 @@ def collect_wal(wal_dir: str) -> List[dict]:
 
 
 def collect_caches(stats: dict) -> List[dict]:
-    """One row per cache (read / negative / page) from a STATS snapshot."""
+    """One row per cache (read / negative / page / read_tier) from a
+    STATS snapshot."""
     rows = []
     for label in ("cache", "negative_cache"):
         snapshot = stats.get(label)
@@ -390,6 +391,24 @@ def collect_caches(stats: dict) -> List[dict]:
                 "lookups": page["hits"] + page["misses"],
                 "hit_rate": round(page["hit_rate"], 4),
                 "entries": page.get("promotions", ""),
+                "capacity": "",
+            }
+        )
+    tier = stats.get("read_tier")
+    if tier:
+        # The non-blocking engine read tier as a cache in front of the
+        # executor: a hit is a read answered on the event loop, a miss
+        # one that fell back to the thread pool.
+        inline = sum(counts["inline"] for counts in tier.values())
+        lookups = sum(sum(counts.values()) for counts in tier.values())
+        rows.append(
+            {
+                "cache": "read_tier",
+                "hits": inline,
+                "misses": lookups - inline,
+                "lookups": lookups,
+                "hit_rate": round(inline / lookups, 4) if lookups else 0.0,
+                "entries": "",
                 "capacity": "",
             }
         )
@@ -778,7 +797,7 @@ def compaction(target: QueryTarget, fmt: str) -> None:
 @click.pass_obj
 @error_handler
 def caches(target: QueryTarget, fmt: str) -> None:
-    """Read / negative / page cache hit rates and occupancy."""
+    """Read / negative / page cache and read-tier hit rates and occupancy."""
     if target.live:
         rows = collect_caches(target.stats())
         note = ""

@@ -11,11 +11,16 @@ Request flow:
 * **PUT** is acknowledged as soon as it lands in the
   :class:`~repro.server.batcher.WriteBatcher`; group commit folds many
   clients' writes into one block.
-* **GET / GET_AT** consult, in order: the batcher overlay (buffered
-  writes, read-your-writes for everyone), the
-  :class:`~repro.server.cache.VersionedReadCache` (exact: entries are
-  stamped with the commit version and die wholesale at every group
-  commit), and finally the engine itself on the thread pool.
+* **GET / GET_AT / MULTI_GET** share one read path.  Each address
+  consults, in order: the batcher overlay (buffered writes,
+  read-your-writes for everyone), the negative-lookup cache (latest
+  reads), the :class:`~repro.server.cache.VersionedReadCache` (exact:
+  entries are stamped with the commit version and die wholesale at
+  every group commit).  The leftovers make one engine call through the
+  engine's non-blocking read tier (:mod:`repro.core.readtier`) right on
+  the event loop; only when that answers "incomplete" (gate busy, page
+  not in the OS page cache, or over the one-switch-interval budget)
+  does the call go to the thread pool.
 * **PROV** first forces a group commit so the proof anchors to a
   committed ``Hstate``, then runs the engine's anchored provenance query.
 * **SCAN** snapshots at a committed height: an un-pinned (latest)
@@ -26,7 +31,8 @@ Request flow:
   the engine's cursor-based ``scan`` with a continuation key when the
   range has more; pinned requests (explicit ``at_blk``, continuation
   pages) skip the flush — the open batch cannot commit at a height they
-  can see.  Scans bypass the
+  can see.  The page itself is read through the same read tier as
+  GET, falling back to the thread pool.  Scans bypass the
   :class:`~repro.server.cache.VersionedReadCache` entirely: the cache is
   exact-key, and a range result is invalidated by *any* write in the
   range, which the version stamp cannot express per-entry.
@@ -44,9 +50,11 @@ address.  Applied commits bump the same cache epoch a local group commit
 would, so the versioned read cache stays exact.
 
 Each connection's requests are answered strictly in order, so clients
-may pipeline.  Engine work runs on a small thread pool; the engine's
+may pipeline.  Blocking engine work (commits, WAL syncs, reads the tier
+could not answer) runs on a small thread pool; the engine's
 :class:`~repro.common.gate.CommitGate` keeps those concurrent reads safe
-against commit checkpoints and background merge cascades.
+against commit checkpoints and background merge cascades, and the
+inline tier only ever try-acquires it.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 from repro.common.errors import StorageError
+from repro.core.readtier import OUTCOMES, Incomplete
 from repro.obs import MetricsRegistry
 from repro.server import protocol
 from repro.server.batcher import MISSING, WriteBatcher
@@ -86,6 +95,9 @@ OP_NAMES = {
     Op.CLUSTER: "cluster",
     Op.ADMIN: "admin",
 }
+
+#: Ops whose engine reads go through the non-blocking read tier.
+READ_TIER_OPS = ("get", "get_at", "multi_get", "scan")
 
 
 @dataclass(frozen=True)
@@ -269,6 +281,11 @@ class ColeServer:
         #: replica applier record into it, and ``Op.METRICS`` exposes it.
         self.metrics = MetricsRegistry()
         self._op_hists: dict = {}  # opcode -> cached latency histogram
+        #: Read-tier outcomes per read op: answered inline on the loop,
+        #: or fallen back to the executor and why (repro.core.readtier).
+        self.read_tier = {
+            op: dict.fromkeys(OUTCOMES, 0) for op in READ_TIER_OPS
+        }
 
     # =========================================================================
     # lifecycle
@@ -496,14 +513,18 @@ class ColeServer:
             return protocol.encode_height_response(height)
         if op == Op.GET:
             self.op_counts["get"] += 1
-            return protocol.encode_value_response(await self._get(args[0]))
+            (value,) = await self._read("get", [args[0]])
+            return protocol.encode_value_response(value)
         if op == Op.MULTI_GET:
             self.op_counts["multi_get"] += 1
-            return protocol.encode_multi_get_response(await self._multi_get(args[0]))
+            return protocol.encode_multi_get_response(
+                await self._read("multi_get", args[0])
+            )
         if op == Op.GET_AT:
             self.op_counts["get_at"] += 1
             addr, blk = args
-            return protocol.encode_value_response(await self._get_at(addr, blk))
+            (value,) = await self._read("get_at", [addr], blk)
+            return protocol.encode_value_response(value)
         if op == Op.PROV:
             self.op_counts["prov"] += 1
             return await self._prov(*args)
@@ -619,78 +640,77 @@ class ColeServer:
     # reads
     # =========================================================================
 
-    async def _get(self, addr: bytes) -> Optional[bytes]:
-        buffered = self.batcher.lookup(addr) if self.batcher is not None else MISSING
-        if buffered is not MISSING:
-            self.overlay_hits += 1
-            return buffered
-        version = self.version
-        # Misses live in the dedicated negative cache — a miss-heavy
-        # workload must not evict the hot positive working set.
-        if self.negative.contains(addr, version):
-            return None
-        hit, value = self.cache.get((0, addr), version)
-        if hit:
-            return value
-        value = await self._run(self.engine.get, addr)
-        if value is None:
-            self.negative.add(addr, version)
-        else:
-            self.cache.put((0, addr), version, value)
-        return value
+    async def _read(
+        self, op: str, addrs: List[bytes], blk: Optional[int] = None
+    ) -> List[Optional[bytes]]:
+        """The one read path of GET (one address, latest), GET_AT (one
+        address at ``blk``) and MULTI_GET (many, latest).
 
-    async def _multi_get(self, addrs: List[bytes]) -> List[Optional[bytes]]:
-        """Answer one MULTI_GET batch: caches on-loop, one engine trip.
-
-        Every key first runs the same overlay -> negative-cache -> read-
-        cache ladder as :meth:`_get`; only the leftovers pay the thread-
-        pool hop, as a single ``engine.get_many`` (one gate hold, one
-        source walk) instead of an engine lookup per key.
+        Each address runs overlay -> negative cache (latest reads only;
+        misses live there so a miss-heavy workload cannot evict the hot
+        positive set) -> read cache.  The leftovers make one engine
+        call, first through the non-blocking read tier on the loop and,
+        only if that answers incomplete, on the thread pool.
         """
         version = self.version
+        batcher = self.batcher
         results: List[Optional[bytes]] = [None] * len(addrs)
         pending: List[int] = []
         for index, addr in enumerate(addrs):
-            buffered = (
-                self.batcher.lookup(addr) if self.batcher is not None else MISSING
-            )
-            if buffered is not MISSING:
-                self.overlay_hits += 1
-                results[index] = buffered
-                continue
-            if self.negative.contains(addr, version):
-                continue
-            hit, value = self.cache.get((0, addr), version)
+            if batcher is not None:
+                buffered = (
+                    batcher.lookup(addr) if blk is None else batcher.lookup_at(addr, blk)
+                )
+                if buffered is not MISSING:
+                    self.overlay_hits += 1
+                    results[index] = buffered
+                    continue
+            if blk is None:
+                if self.negative.contains(addr, version):
+                    continue
+                hit, value = self.cache.get((0, addr), version)
+            else:
+                hit, value = self.cache.get((1, addr, blk), version)
             if hit:
                 results[index] = value
                 continue
             pending.append(index)
-        if pending:
-            values = await self._run(
-                self.engine.get_many, [addrs[index] for index in pending]
-            )
-            for index, value in zip(pending, values):
-                results[index] = value
-                if value is None:
-                    self.negative.add(addrs[index], version)
-                else:
-                    self.cache.put((0, addrs[index]), version, value)
+        if not pending:
+            return results
+        keys = [addrs[index] for index in pending]
+        if blk is not None:
+            answer = self.engine.try_get_at(keys[0], blk)
+            blocking = (self.engine.get_at, keys[0], blk)
+        elif len(keys) == 1:
+            answer = self.engine.try_get(keys[0])
+            blocking = (self.engine.get, keys[0])
+        else:
+            answer = self.engine.try_get_many(keys)
+            blocking = (self.engine.get_many, keys)
+        answer = await self._tiered(op, answer, *blocking)
+        values = answer if len(keys) > 1 else [answer]
+        for index, value in zip(pending, values):
+            addr = addrs[index]
+            results[index] = value
+            if blk is not None:
+                self.cache.put((1, addr, blk), version, value)
+            elif value is None:
+                self.negative.add(addr, version)
+            else:
+                self.cache.put((0, addr), version, value)
         return results
 
-    async def _get_at(self, addr: bytes, blk: int) -> Optional[bytes]:
-        buffered = (
-            self.batcher.lookup_at(addr, blk) if self.batcher is not None else MISSING
-        )
-        if buffered is not MISSING:
-            self.overlay_hits += 1
-            return buffered
-        version = self.version
-        hit, value = self.cache.get((1, addr, blk), version)
-        if hit:
-            return value
-        value = await self._run(self.engine.get_at, addr, blk)
-        self.cache.put((1, addr, blk), version, value)
-        return value
+    async def _tiered(self, op: str, answer, blocking, *args):
+        """``answer`` from the engine's non-blocking read tier or, when
+        it is :class:`~repro.core.readtier.Incomplete`, its blocking
+        twin ``blocking(*args)`` on the thread pool.  Counts the outcome
+        (``repro_read_tier_total``)."""
+        counts = self.read_tier[op]
+        if isinstance(answer, Incomplete):
+            counts[answer.reason] += 1
+            return await self._run(blocking, *args)
+        counts["inline"] += 1
+        return answer
 
     async def _prov(self, addr: bytes, blk_low: int, blk_high: int) -> bytes:
         # Anchor at a committed Hstate: buffered writes must be in the
@@ -739,10 +759,14 @@ class ColeServer:
         # Ask for one extra triple: its presence proves the range has
         # more, and its address *is* the continuation key — no address
         # arithmetic, no false has_more on an exactly-full final page.
-        rows = await self._run(
+        rows = await self._tiered(
+            "scan",
+            self.engine.try_scan(
+                addr_low, addr_high, at_blk=resolved_at, limit=page + 1
+            ),
             lambda: self.engine.scan(
                 addr_low, addr_high, at_blk=resolved_at, limit=page + 1
-            )
+            ),
         )
         continuation = None
         if len(rows) > page:
@@ -797,6 +821,9 @@ class ColeServer:
             # instant ever held).
             "cache": self.cache.stats(),
             "negative_cache": self.negative.stats(),
+            # Engine reads answered inline on the loop vs. sent to the
+            # executor, per read op and fallback reason.
+            "read_tier": {op: dict(counts) for op, counts in self.read_tier.items()},
             "engine": {
                 "puts_total": engine.puts_total,
                 "storage_bytes": storage,
@@ -939,6 +966,15 @@ class ColeServer:
             registry.gauge(
                 "repro_cache_entries", help="Cache occupancy", cache=label
             ).set(snapshot["entries"])
+        for op, counts in self.read_tier.items():
+            for outcome, count in counts.items():
+                registry.counter(
+                    "repro_read_tier_total",
+                    help="Engine reads by op: answered inline on the event "
+                    "loop, or sent to the executor and why",
+                    op=op,
+                    outcome=outcome,
+                ).set(count)
         engine = self.engine
         registry.counter(
             "repro_engine_puts_total", help="Puts applied by the engine"

@@ -28,7 +28,7 @@ import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.chain.backend import StorageBackend
 from repro.common.errors import StorageError
@@ -36,8 +36,10 @@ from repro.common.gate import CommitGate
 from repro.common.hashing import Digest, hash_concat
 from repro.common.params import ShardParams
 from repro.core.cursor import ScanTriple, addr_successor
+from repro.core.readtier import GATE_BUSY, Incomplete
 from repro.core.storage import Cole
 from repro.diskio.iostats import IOStats
+from repro.diskio.nowait import no_wait_reads
 from repro.sharding.proofs import ShardedProvenanceResult
 from repro.sharding.router import shard_of
 
@@ -318,6 +320,73 @@ class ShardedCole(StorageBackend):
             if next_low is None or next_low > addr_high:
                 return
             batch = shard.scan(next_low, addr_high, at_blk=at_blk, limit=page)
+
+    # -- non-blocking read tier (repro.core.readtier) ---------------------------
+
+    def try_get(self, addr: bytes) -> Union[Optional[bytes], Incomplete]:
+        """:meth:`get` that never waits: the owning shard's ``try_get``."""
+        return self._shard_for(addr).try_get(addr)
+
+    def try_get_at(self, addr: bytes, blk: int) -> Union[Optional[bytes], Incomplete]:
+        """:meth:`get_at` that never waits: the owning shard's ``try_get_at``."""
+        return self._shard_for(addr).try_get_at(addr, blk)
+
+    def try_get_many(
+        self, addrs: List[bytes]
+    ) -> Union[List[Optional[bytes]], Incomplete]:
+        """:meth:`get_many` that never waits: each touched shard's
+        ``try_get_many`` in turn on the calling thread (no pool hop), as
+        one no-wait attempt (one deadline, billed only if every shard
+        answers); the first incomplete shard ends the batch."""
+        route = self._route
+        buckets: List[List[int]] = [[] for _ in self.shards]
+        for index, addr in enumerate(addrs):
+            buckets[route(addr)].append(index)
+        results: List[Optional[bytes]] = [None] * len(addrs)
+        with no_wait_reads() as attempt:
+            for shard, positions in zip(self.shards, buckets):
+                if not positions:
+                    continue
+                values = shard.try_get_many([addrs[i] for i in positions])
+                if isinstance(values, Incomplete):
+                    attempt.abandon()
+                    return values
+                for position, value in zip(positions, values):
+                    results[position] = value
+        return results
+
+    def try_scan(
+        self,
+        addr_low: bytes,
+        addr_high: bytes,
+        *,
+        at_blk: Optional[int] = None,
+        limit: Optional[int] = None,
+    ) -> Union[List[ScanTriple], Incomplete]:
+        """:meth:`scan` that never waits.
+
+        Try-acquires the top-level gate shared (one instant across
+        shards, as :meth:`scan` holds it), then asks every shard's
+        ``try_scan`` for up to ``limit`` triples on the calling thread,
+        as one no-wait attempt, and merges them.  Each shard may return
+        a full ``limit`` — more work than the pooled scan's adaptive
+        pages, bounded by the attempt's deadline like every inline read.
+        """
+        if not self.gate.try_acquire_shared():
+            return GATE_BUSY
+        try:
+            parts = []
+            with no_wait_reads() as attempt:
+                for shard in self.shards:
+                    part = shard.try_scan(addr_low, addr_high, at_blk=at_blk, limit=limit)
+                    if isinstance(part, Incomplete):
+                        attempt.abandon()
+                        return part
+                    parts.append(part)
+        finally:
+            self.gate.release_shared()
+        merged = heapq.merge(*parts, key=itemgetter(0))
+        return list(merged if limit is None else itertools.islice(merged, max(limit, 0)))
 
     def prov_query(self, addr: bytes, blk_low: int, blk_high: int) -> ShardedProvenanceResult:
         """Historical values of ``addr`` with a composite-root-anchored proof."""

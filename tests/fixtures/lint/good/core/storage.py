@@ -29,3 +29,12 @@ class Engine:
     def prov_query(self):
         with self.gate.shared():
             return self._root_digest()
+
+    def try_get(self):
+        # Non-blocking shared acquire, released like a blocking one.
+        if not self.gate.try_acquire_shared():
+            return None
+        try:
+            return self._root_digest()
+        finally:
+            self.gate.release_shared()

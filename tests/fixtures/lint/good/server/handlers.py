@@ -2,6 +2,8 @@
 
 import asyncio
 
+INCOMPLETE = object()
+
 
 class Handler:
     def __init__(self, engine, wal):
@@ -21,6 +23,15 @@ class Handler:
 
         await loop.run_in_executor(None, commit)
         await asyncio.sleep(0)  # asyncio.sleep is loop-friendly
+        return value
+
+    async def read(self, addr):
+        # The engine's non-blocking read tier may run on the loop; the
+        # blocking twin is the executor fallback.
+        value = self.engine.try_get(addr)
+        if value is INCOMPLETE:
+            loop = asyncio.get_running_loop()
+            value = await loop.run_in_executor(None, self.engine.get, addr)
         return value
 
     async def shutdown(self):

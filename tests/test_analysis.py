@@ -124,6 +124,75 @@ def test_suppression_is_per_line_and_per_rule(tmp_path):
     assert [f.line for f in report.findings] == [9]
 
 
+def _lint_snippet(tmp_path, subdir, source):
+    scoped = tmp_path / subdir
+    scoped.mkdir()
+    (scoped / "mod.py").write_text(source)
+    return run_lint(root=tmp_path)
+
+
+def test_async_blocking_allows_only_the_read_tier(tmp_path):
+    """``engine.get()`` on the loop is still flagged; the read tier's
+    ``engine.try_get()`` is not; a ``getattr`` naming an engine method
+    is, because it would hide either call from the rule."""
+    report = _lint_snippet(
+        tmp_path,
+        "server",
+        "class S:\n"
+        "    async def a(self):\n"
+        "        return self.engine.get(b'k')\n"
+        "\n"
+        "    async def b(self):\n"
+        "        return self.engine.try_get(b'k')\n"
+        "\n"
+        "    async def c(self):\n"
+        "        return self.engine.try_scan(b'a', b'b', limit=2)\n"
+        "\n"
+        "    async def d(self):\n"
+        "        return getattr(self.engine, 'try_get')(b'k')\n"
+        "\n"
+        "    async def e(self):\n"
+        "        return getattr(self.engine, 'shards', None)\n",
+    )
+    findings = [f for f in report.findings if f.rule == "async-blocking-call"]
+    assert [f.line for f in findings] == [3, 12]
+    assert "engine.get()" in findings[0].message
+    assert "getattr(engine, 'try_get')" in findings[1].message
+
+
+def test_gate_discipline_knows_the_try_acquire(tmp_path):
+    """A try-acquire may run in an ``async def`` (it never waits), but
+    under a held gate it is a nested acquisition."""
+    report = _lint_snippet(
+        tmp_path,
+        "core",
+        "from repro.common.gate import CommitGate\n"
+        "\n"
+        "\n"
+        "class Engine:\n"
+        "    def __init__(self):\n"
+        "        self.gate = CommitGate()\n"
+        "\n"
+        "    def try_read(self):\n"
+        "        if not self.gate.try_acquire_shared():\n"
+        "            return None\n"
+        "        self.gate.release_shared()\n"
+        "\n"
+        "    def nested(self):\n"
+        "        with self.gate.exclusive():\n"
+        "            self.gate.try_acquire_shared()\n"
+        "\n"
+        "    def calls_try_reader(self):\n"
+        "        with self.gate.shared():\n"
+        "            return self.try_read()\n"
+        "\n"
+        "    async def on_loop(self):\n"
+        "        return self.gate.try_acquire_shared()\n",
+    )
+    lines = [f.line for f in report.findings if f.rule == "gate-discipline"]
+    assert lines == [15, 19]
+
+
 def test_json_report_schema_is_pinned():
     report = run_lint(root=FIXTURES / "bad")
     data = json.loads(report.to_json())

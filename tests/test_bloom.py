@@ -67,3 +67,43 @@ def test_no_false_negatives_property(items):
     for item in items:
         bloom.add(item)
     assert all(item in bloom for item in items)
+
+
+def test_filter_bytes_are_pinned():
+    """Hashing once per address and probing lazily must not move a
+    single bit: filter bytes are folded into every run's commitment."""
+    bloom = BloomFilter.for_capacity(100, 10, 7)
+    for i in range(100):
+        bloom.add(b"addr-%03d" % i)
+    assert bloom.digest().hex() == (
+        "c6f5c5d48b4f7ae1bb2882f380c49718e2540a98c9d2f5e630145ed5ffac7073"
+    )
+
+
+@given(st.lists(st.binary(min_size=1, max_size=24), max_size=40), st.binary(max_size=24))
+def test_hashed_probe_matches_membership(members, probe):
+    """One hash pair serves every filter, whatever its size."""
+    pair = BloomFilter.hash_pair(probe)
+    for num_bits, num_hashes in ((8, 1), (97, 3), (1000, 7)):
+        bloom = BloomFilter(num_bits, num_hashes)
+        for item in members:
+            bloom.add(item)
+        assert bloom.contains_hashed(pair) == (probe in bloom)
+        for item in members:
+            assert bloom.contains_hashed(BloomFilter.hash_pair(item))
+
+
+class _CountingBits(bytearray):
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountingBits.reads += 1
+        return super().__getitem__(index)
+
+
+def test_probe_stops_at_the_first_clear_bit():
+    bloom = BloomFilter(1024, 7)
+    bloom._bits = _CountingBits(bloom._bits)  # all clear
+    _CountingBits.reads = 0
+    assert b"absent" not in bloom
+    assert _CountingBits.reads == 1

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.bloomfilter import BloomFilter
 from repro.common.params import ColeParams, SystemParams
 from repro.core.compound import CompoundKey
 from repro.core.merklefile import verify_range_proof
@@ -61,10 +62,12 @@ def test_floor_before_run_returns_none(tmp_path, params):
 def test_bloom_filters_unknown_addresses(tmp_path, params):
     entries, addrs = make_entries(params)
     run = make_run(tmp_path, params, entries)
-    assert all(run.may_contain(addr) for addr in addrs)
+    assert all(run.may_contain(BloomFilter.hash_pair(addr)) for addr in addrs)
     rng = random.Random(99)
     misses = sum(
-        1 for _ in range(100) if run.may_contain(rng.randbytes(params.system.addr_size))
+        1
+        for _ in range(100)
+        if run.may_contain(BloomFilter.hash_pair(rng.randbytes(params.system.addr_size)))
     )
     assert misses < 20
 
@@ -138,3 +141,51 @@ def test_large_run_search_io_is_bounded(tmp_path, params):
     delta = stats.delta(before)
     # One or two pages per index layer plus at most three value pages.
     assert delta.total_reads <= 3 * run.index_file.num_layers + 3
+
+
+def linear_entries(params, count=100):
+    """Evenly spaced addresses, one version each: compound keys are
+    linear in position, so the learned index predicts every page."""
+    step = 2**40
+    return [
+        (
+            CompoundKey(addr=((i + 1) * step).to_bytes(8, "big"), blk=1).to_int(),
+            bytes([i]) * params.system.value_size,
+        )
+        for i in range(count)
+    ]
+
+
+def test_correct_page_prediction_bills_one_value_read(tmp_path, params):
+    entries = linear_entries(params)
+    run = make_run(tmp_path, params, entries)
+    per_page = run.value_file.pairs_per_page
+    stats = run.workspace.stats
+    for position in (0, per_page + per_page // 2, len(entries) - 1):
+        key = entries[position][0]
+        assert run.index_file.search(key) // per_page == position // per_page
+        before = stats.page_reads["value"]
+        assert run.floor_search(key) == (entries[position], position)
+        assert stats.page_reads["value"] - before == 1
+
+
+def test_single_point_lookup_leaves_its_page_in_probation(tmp_path, params):
+    cached = ColeParams(
+        system=params.system,
+        mem_capacity=params.mem_capacity,
+        size_ratio=params.size_ratio,
+        mht_fanout=params.mht_fanout,
+        value_cache_pages=5,
+    )
+    entries = linear_entries(cached)
+    built = make_run(tmp_path, cached, entries)
+    built.workspace.close()
+    # Reopened: the build's page fills are gone, the cache starts cold.
+    workspace = Workspace(str(tmp_path / "ws"), cached.system.page_size)
+    run = Run.load(workspace, "r0", 1, len(entries), cached, built.merkle_root)
+    position = 2 * run.value_file.pairs_per_page + 3
+    assert run.floor_search(entries[position][0]) == (entries[position], position)
+    pages = run.value_file._file
+    assert list(pages._probation) == [2]
+    assert not pages._protected
+    assert workspace.stats.cache_promotions["value"] == 0

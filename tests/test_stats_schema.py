@@ -74,6 +74,15 @@ def assert_core_schema(stats: dict) -> None:
         assert isinstance(cache["hit_rate"], float)
         assert cache["lookups"] == cache["hits"] + cache["misses"]
 
+    # Non-blocking read tier: engine reads per op, answered inline on
+    # the loop or fallen back to the executor (and why).
+    read_tier = stats["read_tier"]
+    assert set(read_tier) == {"get", "get_at", "multi_get", "scan"}
+    for op, counts in read_tier.items():
+        assert set(counts) == {"inline", "gate_busy", "would_block", "budget"}, op
+        for outcome, count in counts.items():
+            assert isinstance(count, int), (op, outcome)
+
     engine = stats["engine"]
     assert isinstance(engine["puts_total"], int)
     assert isinstance(engine["storage_bytes"], int)
@@ -115,6 +124,9 @@ def assert_primary_schema(stats: dict) -> None:
     ops_seen = stats["latency"]["op"]
     for op in ("put", "get", "scan", "multi_get"):
         assert ops_seen[op]["count"] > 0, op
+    # Every read op that missed the caches went through the read tier.
+    for op in ("get", "scan", "multi_get"):
+        assert sum(stats["read_tier"][op].values()) > 0, op
     assert stats["latency"]["commit_flush"]["count"] > 0
     assert stats["latency"]["commit_batch_size"]["count"] > 0
 
