@@ -58,6 +58,8 @@ BLOCKING_CALLS = {
     "os.replace",
     "socket.socket",
     "socket.create_connection",
+    "atomic_write",
+    "fsync_dir",
 }
 
 BLOCKING_CONSTRUCTORS = {"Cole", "ShardedCole", "WriteAheadLog", "PagedFile"}

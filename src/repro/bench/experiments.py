@@ -1523,6 +1523,7 @@ def run_cluster_scaling(
     from repro.common.hashing import hash_concat
     from repro.common.params import ColeParams
     from repro.server import ServerClient, connect
+    from repro.server.client import parse_host_port
     from repro.server.loadgen import _value, key_addr
 
     rows: List[Row] = []
@@ -1617,8 +1618,7 @@ def run_cluster_scaling(
             total_writes = 0
 
             async def saturate(address: str, keys: List[bytes]) -> float:
-                host, _, port = address.rpartition(":")
-                async with ServerClient(host, int(port)) as client:
+                async with ServerClient(*parse_host_port(address)) as client:
                     async def writer(writer_id: int) -> None:
                         for index in range(writes_per_writer):
                             rank = (writer_id * writes_per_writer + index) % len(keys)

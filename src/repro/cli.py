@@ -20,6 +20,7 @@ Usage (after ``pip install -e .``)::
     python -m repro.cli cluster serve /data/node0 --node node-0 -m manifest.json
     python -m repro.cli cluster status -m manifest.json
     python -m repro.cli cluster migrate 0 node-1 -m manifest.json --snapshot-dir /tmp/s0
+    python -m repro.cli query -w /path/to/workspace levels -f json
 """
 
 from __future__ import annotations
@@ -29,7 +30,10 @@ import sys
 from typing import List, Optional
 
 from repro.bench.report import format_bytes, format_table
+from repro.common.errors import StorageError
 from repro.core.manifest import MANIFEST_NAME, load_manifest
+from repro.obs.query import add_query_parser
+from repro.server.client import parse_host_port
 
 _EXPERIMENTS = {
     "fig9": ("run_overall_performance", {"workload_name": "smallbank"}),
@@ -188,11 +192,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_host_port(value: str) -> tuple:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise SystemExit(f"--replica-of expects HOST:PORT, got {value!r}")
-    return host, int(port)
+def _host_port(value: str) -> tuple:
+    """argparse type for HOST:PORT flags: a malformed value is a usage
+    error (exit 2)."""
+    try:
+        return parse_host_port(value)
+    except StorageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -202,7 +208,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.server import ColeServer, ServerConfig
 
-    replica_of = _parse_host_port(args.replica_of) if args.replica_of else None
+    replica_of = args.replica_of
     if replica_of is not None and args.wal:
         raise SystemExit(
             "--replica-of and --wal are mutually exclusive: a replica's "
@@ -281,7 +287,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
         shards = f", {num_shards} shards" if num_shards > 1 else ""
         durability = f", wal={wal.sync_policy}" if wal is not None else ""
         role = (
-            f", replica of {args.replica_of}" if replica_of is not None else ""
+            f", replica of {replica_of[0]}:{replica_of[1]}"
+            if replica_of is not None
+            else ""
         )
         print(
             f"serving {args.workspace} on {host}:{port}{shards}{durability}"
@@ -695,23 +703,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return 1 if report.findings else 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    """The ``repro query`` inspection group (click-based).
-
-    click is imported lazily so every other command works in
-    environments without it (e.g. minimal CI runners).
-    """
-    try:
-        from repro.obs.query import run_query
-    except ImportError:
-        print(
-            "repro query needs the 'click' package, which is not installed",
-            file=sys.stderr,
-        )
-        return 2
-    return run_query(args.rest)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -788,6 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--replica-of",
         metavar="HOST:PORT",
+        type=_host_port,
         default=None,
         help="replica mode: tail the primary's WAL stream and serve "
         "reads; PUT/FLUSH answer NOT_PRIMARY",
@@ -1018,29 +1010,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     lint.set_defaults(func=cmd_lint)
 
-    # The query group is click-based and parses its own arguments:
-    # everything after "query" passes through untouched (add_help=False
-    # so "repro query --help" reaches click's help, not argparse's).
-    query = sub.add_parser(
-        "query",
-        help="inspect a workspace or live server (levels/segments/bloom/"
-        "wal/replication/caches/latency/audit)",
-        add_help=False,
-    )
-    query.add_argument("rest", nargs=argparse.REMAINDER)
-    query.set_defaults(func=cmd_query)
+    add_query_parser(sub)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point."""
-    if argv is None:
-        argv = sys.argv[1:]
-    # "query" owns its own argument parsing (click); hand everything
-    # after it over untouched.  argparse's REMAINDER would reject a
-    # leading option token ("query -w ..."), so dispatch before it.
-    if argv and argv[0] == "query":
-        return cmd_query(argparse.Namespace(rest=list(argv[1:])))
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

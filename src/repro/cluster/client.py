@@ -12,10 +12,10 @@ Referral handling is the cluster's consistency mechanism, not an error
 path: a server answering ``MOVED`` (stale manifest, mid-migration
 traffic) makes the client refresh its manifest — preferring the
 document served by the *referred-to* address, falling back to patching
-the single routing entry the referral carried — and retry, bounded by
-``max_retries``.  A connection failure retries the same way after a
-short delay, which also covers the one-moment window in which a
-promoted shard server rebinds its port.
+the single routing entry the referral carried — and retry after a
+short, growing delay, bounded by ``max_retries``.  A connection failure
+retries the same way, which also covers the one-moment window in which
+a promoted shard server rebinds its port.
 
 ``multi_get`` / ``multi_put`` split each batch per owning server, issue
 the sub-batches concurrently, and reassemble positionally; a referral
@@ -38,7 +38,7 @@ from repro.cluster.manifest import ClusterManifest
 from repro.common.errors import StorageError
 from repro.common.hashing import hash_concat
 from repro.server import protocol
-from repro.server.client import KVClient, ServerClient, _parse_addr
+from repro.server.client import KVClient, ServerClient, parse_host_port
 from repro.server.protocol import MovedError, Op, Referral, RootInfo
 
 
@@ -98,7 +98,7 @@ class ClusterClient(KVClient):
     async def _client_for(self, address: str) -> ServerClient:
         client = self._clients.get(address)
         if client is None:
-            client = ServerClient(*_parse_addr(address), pool_size=self.pool_size)
+            client = ServerClient(*parse_host_port(address), pool_size=self.pool_size)
             await client.connect()
             self._clients[address] = client
         return client
@@ -117,22 +117,7 @@ class ClusterClient(KVClient):
         last_error: Optional[Exception] = None
         for address in addresses:
             try:
-                host, port = _parse_addr(address)
-                reader, writer = await asyncio.open_connection(host, port)
-                try:
-                    writer.write(protocol.encode_simple(Op.CLUSTER))
-                    await writer.drain()
-                    body = await protocol.read_frame(reader)
-                    if body is None:
-                        raise StorageError(f"{address} closed the connection")
-                    data = protocol.decode_json_response(body)
-                finally:
-                    writer.close()
-                    try:
-                        await writer.wait_closed()
-                    except (ConnectionResetError, BrokenPipeError, OSError):
-                        pass
-                return ClusterManifest.from_dict(data)
+                return await fetch_manifest(address)
             except (StorageError, ConnectionError, OSError) as exc:
                 last_error = exc
         raise StorageError(
@@ -210,8 +195,10 @@ class ClusterClient(KVClient):
                     await self.refresh_manifest()
                 except StorageError:
                     pass
-                if attempt < self.max_retries:
-                    await asyncio.sleep(self.retry_delay * (attempt + 1))
+            # Back off after referrals too: mid-migration the source and
+            # target can refer to each other until the promote lands.
+            if attempt < self.max_retries:
+                await asyncio.sleep(self.retry_delay * (attempt + 1))
         raise StorageError(
             f"cluster op failed after {self.max_retries + 1} attempts: "
             f"{last_exc}"
@@ -474,35 +461,16 @@ def _merge_cache(snapshots: List[dict]) -> dict:
     }
 
 
-async def fetch_manifest(address: str) -> ClusterManifest:
-    """One-shot manifest fetch from any cluster member (CLI helper)."""
-    host, port = _parse_addr(address)
+async def _exchange(address: str, frame: bytes) -> dict:
+    """One request frame on a fresh connection; its JSON answer back."""
+    host, port = parse_host_port(address)
     reader, writer = await asyncio.open_connection(host, port)
     try:
-        writer.write(protocol.encode_simple(Op.CLUSTER))
+        writer.write(frame)
         await writer.drain()
         body = await protocol.read_frame(reader)
         if body is None:
             raise StorageError(f"{address} closed the connection")
-        return ClusterManifest.from_dict(protocol.decode_json_response(body))
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
-
-
-async def admin_call(address: str, command: dict) -> dict:
-    """One ADMIN command against a node's control server."""
-    host, port = _parse_addr(address)
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(protocol.encode_admin(command))
-        await writer.drain()
-        body = await protocol.read_frame(reader)
-        if body is None:
-            raise StorageError(f"{address} closed the connection mid-command")
         return protocol.decode_json_response(body)
     finally:
         writer.close()
@@ -510,3 +478,14 @@ async def admin_call(address: str, command: dict) -> dict:
             await writer.wait_closed()
         except (ConnectionResetError, BrokenPipeError, OSError):
             pass
+
+
+async def fetch_manifest(address: str) -> ClusterManifest:
+    """One-shot manifest fetch from any cluster member."""
+    data = await _exchange(address, protocol.encode_simple(Op.CLUSTER))
+    return ClusterManifest.from_dict(data)
+
+
+async def admin_call(address: str, command: dict) -> dict:
+    """One ADMIN command against a node's control server."""
+    return await _exchange(address, protocol.encode_admin(command))

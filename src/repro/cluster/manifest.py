@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from repro.common.errors import StorageError
+from repro.diskio.durable import atomic_write
 from repro.sharding.router import shard_of
 
 
@@ -198,17 +198,8 @@ class ClusterManifest:
 
     def save(self, path: str) -> None:
         """Write atomically: a reader never sees a half-written manifest."""
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".manifest-")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.to_json())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        atomic_write(path, self.to_json())
 
     @classmethod
     def load(cls, path: str) -> "ClusterManifest":

@@ -40,6 +40,7 @@ from typing import Dict, Optional, Tuple
 from repro.cluster.manifest import ClusterManifest
 from repro.common.errors import StorageError
 from repro.server import protocol
+from repro.server.client import parse_host_port
 from repro.server.protocol import Op
 from repro.server.server import ColeServer, ServerConfig
 
@@ -181,13 +182,6 @@ class _ShardServing:
         return f"{self.server.host}:{self.server.port}"
 
 
-def _parse_hostport(value: str) -> Tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise StorageError(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
-
-
 def shard_dirname(shard_id: int) -> str:
     return f"shard-{shard_id:02d}"
 
@@ -243,7 +237,7 @@ class ClusterNode:
         try:
             for shard_id in self.manifest.shards_of_node(self.name):
                 await self._start_shard_primary(shard_id)
-            host, port = _parse_hostport(self.manifest.nodes[self.name])
+            host, port = parse_host_port(self.manifest.nodes[self.name])
             if self.ephemeral:
                 port = 0
             self._control_server = await asyncio.start_server(
@@ -292,7 +286,7 @@ class ClusterNode:
                 )
 
             wal = await loop.run_in_executor(None, _open_wal)
-        host, port = _parse_hostport(
+        host, port = parse_host_port(
             address or self.manifest.address_of(shard_id)
         )
         if self.ephemeral and address is None:
@@ -562,8 +556,8 @@ class ClusterNode:
         engine = await loop.run_in_executor(None, _open_engine)
         wal = await loop.run_in_executor(None, _open_wal)
         await loop.run_in_executor(None, replay_wal, engine, wal)
-        source_addr = _parse_hostport(source)
-        host, _ = _parse_hostport(self.manifest.nodes[self.name])
+        source_addr = parse_host_port(source)
+        host, _ = parse_host_port(self.manifest.nodes[self.name])
         role = ShardRole(self, shard_id)
         role.phase = "catchup"
         server = ColeServer(

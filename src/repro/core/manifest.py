@@ -14,6 +14,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.diskio.durable import atomic_write
+
 MANIFEST_NAME = "MANIFEST.json"
 
 
@@ -96,14 +98,17 @@ class Manifest:
 
 
 def save_manifest(root: str, manifest: Manifest) -> None:
-    """Atomically replace the manifest (temp file + rename)."""
-    path = os.path.join(root, MANIFEST_NAME)
-    temp_path = path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        handle.write(manifest.to_json())
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, path)
+    """Atomically replace the manifest (its contents fsynced).
+
+    No directory fsync: this runs on the block-commit path of every
+    cascade, where one cost up to ~8 ms (p90) on ext4 and moved the
+    chain-smallbank block p90 by more than its 25% bound.  On a file
+    system that journals metadata in order (ext4), the rename is durable
+    no later than the obsolete-run unlinks and WAL truncation after it.
+    """
+    atomic_write(
+        os.path.join(root, MANIFEST_NAME), manifest.to_json(), sync_dir=False
+    )
 
 
 def load_manifest(root: str) -> Manifest:

@@ -7,9 +7,8 @@ and the CLI all meter through the same registry types.
 * :mod:`repro.obs.registry` — counters, gauges, log-bucketed latency
   histograms, Prometheus-style text exposition, and an exposition
   parser (used by ``repro query latency`` and the round-trip tests).
-* :mod:`repro.obs.query` — the ``repro query`` click subcommand group
-  (imported lazily by ``repro.cli`` so click stays an optional,
-  CLI-only dependency).
+* :mod:`repro.obs.query` — the ``repro query`` subcommands, registered
+  on :mod:`repro.cli`'s argparse parser.
 """
 
 from repro.obs.registry import (

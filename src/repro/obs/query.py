@@ -1,8 +1,9 @@
 """``repro query`` — the operator inspection CLI.
 
-A click subcommand group answering questions against **either** a cold
-workspace directory (``--workspace``) or a live server (``--server
-HOST:PORT``), in ``table`` / ``csv`` / ``json`` formats::
+A subcommand tree on :mod:`repro.cli`'s argparse parser answering
+questions against **either** a cold workspace directory
+(``--workspace``) or a live server (``--server HOST:PORT``), in
+``table`` / ``csv`` / ``json`` formats::
 
     repro query -w /data/cole levels
     repro query -w /data/cole segments -f json
@@ -19,28 +20,28 @@ workspace path from the server's STATS.  Control-plane subcommands
 against a cold workspace they degrade to an empty answer with a note
 (process state does not outlive the process).
 
-``click`` is imported at module load, but :mod:`repro.cli` only imports
-*this module* inside the ``query`` command — environments without click
-keep every other CLI command working.
+Each subcommand is a plain function ``(target, args) -> (columns, rows,
+note)`` whose docstring is its help; :func:`run_query` checks the
+target, maps failures to exit codes and renders the answer.
 """
 
 from __future__ import annotations
 
+import argparse
 import asyncio
 import csv
-import functools
+import inspect
 import io
 import json
 import os
 import random
 import sys
-from typing import Any, Callable, List, Optional, Tuple
-
-import click
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.report import format_table
 from repro.common.errors import StorageError
 from repro.obs.registry import parse_exposition, quantile_from_buckets
+from repro.server.client import parse_host_port
 
 #: Random absent-address probes for the measured bloom FPR.
 DEFAULT_BLOOM_PROBES = 512
@@ -96,49 +97,15 @@ class QueryTarget:
             return self.workspace
         path = (self.stats().get("engine") or {}).get("workspace")
         if not path:
-            raise click.ClickException(
+            raise StorageError(
                 "the server did not report a workspace path in STATS"
             )
         return path
 
 
-def _parse_server(value: str) -> Tuple[str, int]:
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise click.BadParameter(f"expected HOST:PORT, got {value!r}")
-    return host, int(port)
-
-
 # =============================================================================
-# shared decorators and rendering
+# rendering
 # =============================================================================
-
-def error_handler(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Convert storage/IO failures into clean CLI errors (no tracebacks)."""
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except (StorageError, OSError, ValueError) as exc:
-            raise click.ClickException(f"{type(exc).__name__}: {exc}")
-
-    return wrapper
-
-
-def format_option(fn: Callable[..., Any]) -> Callable[..., Any]:
-    return click.option(
-        "--format",
-        "-f",
-        "fmt",
-        type=click.Choice(["table", "csv", "json"]),
-        default="table",
-        show_default=True,
-        help="output format",
-    )(fn)
-
 
 def format_output(columns: List[str], rows: List[dict], fmt: str) -> str:
     """Render ``rows`` (list of dicts) in the requested format."""
@@ -154,12 +121,6 @@ def format_output(columns: List[str], rows: List[dict], fmt: str) -> str:
     return format_table(
         columns, [[row.get(column, "") for column in columns] for row in rows]
     )
-
-
-def emit(columns: List[str], rows: List[dict], fmt: str, note: str = "") -> None:
-    if note:
-        click.echo(note, err=True)
-    click.echo(format_output(columns, rows, fmt))
 
 
 # =============================================================================
@@ -638,98 +599,37 @@ def _audit_row(addr: bytes, result: Any) -> dict:
 
 
 # =============================================================================
-# the click group
+# subcommands: (target, args) -> (columns, rows, note); docstring = help
 # =============================================================================
 
-@click.group(name="query")
-@click.option(
-    "--workspace",
-    "-w",
-    type=click.Path(),
-    default=None,
-    help="cold workspace directory to inspect",
-)
-@click.option(
-    "--server",
-    "-s",
-    "server_addr",
-    default=None,
-    metavar="HOST:PORT",
-    help="live server to inspect",
-)
-@click.pass_context
-def query_group(ctx: click.Context, workspace: Optional[str], server_addr: Optional[str]) -> None:
-    """Inspect a COLE deployment: levels, indexes, blooms, WAL,
-    replication, caches, latencies, and provenance audits.
-
-    Give exactly one of --workspace (cold, file-backed) or --server
-    (live).  Global options come before the subcommand:
-    ``repro query -s 127.0.0.1:7407 latency -f json``.
-    """
-    if (workspace is None) == (server_addr is None):
-        raise click.UsageError(
-            "give exactly one of --workspace/-w or --server/-s"
-        )
-    server = _parse_server(server_addr) if server_addr is not None else None
-    ctx.obj = QueryTarget(workspace, server)
+Answer = Tuple[List[str], List[dict], str]
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def levels(target: QueryTarget, fmt: str) -> None:
+def levels(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Runs and sizes per level per shard."""
     rows = collect_levels(target.resolve_workspace())
-    emit(["shard", "level", "group", "run", "entries", "bytes"], rows, fmt)
+    return ["shard", "level", "group", "run", "entries", "bytes"], rows, ""
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def segments(target: QueryTarget, fmt: str) -> None:
+def segments(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Learned-index segment counts, epsilon, predicted seek cost."""
-    rows = collect_segments(target.resolve_workspace())
-    emit(
-        [
-            "shard", "level", "run", "entries", "segments", "layers",
-            "models_per_page", "epsilon", "entries_per_segment", "seek_pages",
-        ],
-        rows,
-        fmt,
-    )
+    columns = [
+        "shard", "level", "run", "entries", "segments", "layers",
+        "models_per_page", "epsilon", "entries_per_segment", "seek_pages",
+    ]
+    return columns, collect_segments(target.resolve_workspace()), ""
 
 
-@query_group.command()
-@click.option(
-    "--probes",
-    type=int,
-    default=DEFAULT_BLOOM_PROBES,
-    show_default=True,
-    help="random absent-key probes for the measured FPR",
-)
-@format_option
-@click.pass_obj
-@error_handler
-def bloom(target: QueryTarget, probes: int, fmt: str) -> None:
+def bloom(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Bloom bits, hash counts, theoretical and measured FPR."""
-    rows = collect_bloom(target.resolve_workspace(), probes=probes)
-    emit(
-        [
-            "shard", "level", "run", "keys", "bits", "hashes",
-            "size_bytes", "fpr_theory", "fpr_measured",
-        ],
-        rows,
-        fmt,
-    )
+    columns = [
+        "shard", "level", "run", "keys", "bits", "hashes",
+        "size_bytes", "fpr_theory", "fpr_measured",
+    ]
+    return columns, collect_bloom(target.resolve_workspace(), args.probes), ""
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def wal(target: QueryTarget, fmt: str) -> None:
+def wal(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """WAL segments: sealed/active state, record counts, torn tails."""
     if target.live:
         wal_stats = target.stats().get("wal")
@@ -740,23 +640,14 @@ def wal(target: QueryTarget, fmt: str) -> None:
 
         wal_dir = os.path.join(target.resolve_workspace(), WAL_DIRNAME)
         note = "" if os.path.isdir(wal_dir) else f"no WAL directory at {wal_dir}"
-    rows = collect_wal(wal_dir) if wal_dir else []
-    emit(
-        [
-            "shard", "segment", "state", "bytes", "records", "puts",
-            "commits", "max_height", "torn",
-        ],
-        rows,
-        fmt,
-        note=note,
-    )
+    columns = [
+        "shard", "segment", "state", "bytes", "records", "puts",
+        "commits", "max_height", "torn",
+    ]
+    return columns, collect_wal(wal_dir) if wal_dir else [], note
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def replication(target: QueryTarget, fmt: str) -> None:
+def replication(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Replication role, lag, and subscriber state."""
     if target.live:
         section = target.stats().get("replication") or {"role": "standalone"}
@@ -764,14 +655,10 @@ def replication(target: QueryTarget, fmt: str) -> None:
     else:
         section = {"role": "offline"}
         note = "replication state is process state; inspect a live server"
-    emit(["metric", "value"], flatten(section), fmt, note=note)
+    return ["metric", "value"], flatten(section), note
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def compaction(target: QueryTarget, fmt: str) -> None:
+def compaction(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Compaction policy, per-level layout, cumulative write-amp.
 
     The ``*`` row totals a shard: ``bytes`` is cumulative flush output,
@@ -782,122 +669,139 @@ def compaction(target: QueryTarget, fmt: str) -> None:
         rows = collect_compaction_live(target.stats())
     else:
         rows = collect_compaction(target.resolve_workspace())
-    emit(
-        [
-            "shard", "level", "policy", "runs", "entries", "bytes",
-            "bytes_rewritten", "write_amp",
-        ],
-        rows,
-        fmt,
-    )
+    columns = [
+        "shard", "level", "policy", "runs", "entries", "bytes",
+        "bytes_rewritten", "write_amp",
+    ]
+    return columns, rows, ""
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def caches(target: QueryTarget, fmt: str) -> None:
+def caches(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Read / negative / page cache and read-tier hit rates and occupancy."""
+    columns = ["cache", "hits", "misses", "lookups", "hit_rate", "entries", "capacity"]
     if target.live:
-        rows = collect_caches(target.stats())
-        note = ""
-    else:
-        rows = []
-        note = "cache state is process state; inspect a live server"
-    emit(
-        ["cache", "hits", "misses", "lookups", "hit_rate", "entries", "capacity"],
-        rows,
-        fmt,
-        note=note,
-    )
+        return columns, collect_caches(target.stats()), ""
+    return columns, [], "cache state is process state; inspect a live server"
 
 
-@query_group.command()
-@format_option
-@click.pass_obj
-@error_handler
-def latency(target: QueryTarget, fmt: str) -> None:
+def latency(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Per-op latency histograms (parsed from METRICS exposition)."""
+    columns = ["metric", "labels", "count", "avg_s", "p50_s", "p99_s"]
     if target.live:
-        rows = collect_latency(target.metrics_text())
-        note = ""
-    else:
-        rows = []
-        note = "latency histograms are process state; inspect a live server"
-    emit(
-        ["metric", "labels", "count", "avg_s", "p50_s", "p99_s"],
-        rows,
-        fmt,
-        note=note,
-    )
+        return columns, collect_latency(target.metrics_text()), ""
+    note = "latency histograms are process state; inspect a live server"
+    return columns, [], note
 
 
-@query_group.command()
-@click.argument("addr_low")
-@click.argument("addr_high")
-@click.option(
-    "--limit",
-    type=int,
-    default=32,
-    show_default=True,
-    help="max live addresses audited in the range",
-)
-@click.option(
-    "--addr-size",
-    type=int,
-    default=32,
-    show_default=True,
-    help="address width in bytes (short hex args are padded to this)",
-)
-@format_option
-@click.pass_obj
-@error_handler
-def audit(
-    target: QueryTarget,
-    addr_low: str,
-    addr_high: str,
-    limit: int,
-    addr_size: int,
-    fmt: str,
-
-) -> None:
+def audit(target: QueryTarget, args: argparse.Namespace) -> Answer:
     """Provenance walk over ADDR_LOW..ADDR_HIGH (hex; prefixes allowed).
 
     For each live address in the range (up to --limit): its version
     count and first/last change heights, proven against the committed
     state root.
     """
-    low = bytes.fromhex(addr_low)
-    high = bytes.fromhex(addr_high)
-    if len(low) > addr_size or len(high) > addr_size:
-        raise click.BadParameter(f"addresses are at most {addr_size} bytes")
-    low = low + b"\x00" * (addr_size - len(low))
-    high = high + b"\xff" * (addr_size - len(high))
-    rows = collect_audit(target, low, high, limit)
-    emit(
-        ["addr", "versions", "first_blk", "last_blk", "latest_bytes", "boundary"],
-        rows,
-        fmt,
+    low = bytes.fromhex(args.addr_low)
+    high = bytes.fromhex(args.addr_high)
+    size = args.addr_size
+    if len(low) > size or len(high) > size:
+        raise argparse.ArgumentTypeError(f"addresses are at most {size} bytes")
+    low = low + b"\x00" * (size - len(low))
+    high = high + b"\xff" * (size - len(high))
+    columns = ["addr", "versions", "first_blk", "last_blk", "latest_bytes", "boundary"]
+    return columns, collect_audit(target, low, high, args.limit), ""
+
+
+def add_query_parser(
+    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
+) -> None:
+    """Register ``repro query`` and its subcommands on the CLI parser.
+
+    Target options come before the subcommand, output options after it:
+    ``repro query -s 127.0.0.1:7407 latency -f json``.
+    """
+    query = sub.add_parser(
+        "query",
+        help="inspect a workspace or live server (levels/segments/bloom/"
+        "wal/replication/caches/latency/audit)",
+        description="Inspect a COLE deployment: levels, indexes, blooms, "
+        "WAL, replication, caches, latencies, and provenance audits.  Give "
+        "exactly one of --workspace (cold, file-backed) or --server (live).",
+    )
+    query.add_argument("-w", "--workspace", help="cold workspace directory to inspect")
+    query.add_argument(
+        "-s", "--server", metavar="HOST:PORT", help="live server to inspect"
+    )
+    commands = query.add_subparsers(
+        dest="query_command", metavar="COMMAND", required=True
+    )
+    parsers: Dict[str, argparse.ArgumentParser] = {}
+    for answer in (
+        levels, segments, bloom, wal, replication, compaction, caches, latency, audit
+    ):
+        doc = inspect.getdoc(answer) or ""
+        parser = commands.add_parser(
+            answer.__name__,
+            help=doc.splitlines()[0],
+            description=doc,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        parser.add_argument(
+            "-f",
+            "--format",
+            choices=("table", "csv", "json"),
+            default="table",
+            help="output format (default: table)",
+        )
+        parser.set_defaults(func=run_query, answer=answer, parser=parser)
+        parsers[answer.__name__] = parser
+    parsers["bloom"].add_argument(
+        "--probes",
+        type=int,
+        default=DEFAULT_BLOOM_PROBES,
+        help="random absent-key probes for the measured FPR (default: %(default)s)",
+    )
+    audit_parser = parsers["audit"]
+    audit_parser.add_argument("addr_low", metavar="ADDR_LOW")
+    audit_parser.add_argument("addr_high", metavar="ADDR_HIGH")
+    audit_parser.add_argument(
+        "--limit",
+        type=int,
+        default=32,
+        help="max live addresses audited in the range (default: %(default)s)",
+    )
+    audit_parser.add_argument(
+        "--addr-size",
+        type=int,
+        default=32,
+        help="address width in bytes; short hex args are padded to this "
+        "(default: %(default)s)",
     )
 
 
-def run_query(argv: List[str]) -> int:
-    """Entry point used by ``repro.cli``: run the group, return an exit
-    code instead of raising ``SystemExit`` (testable, embeddable)."""
+def run_query(args: argparse.Namespace) -> int:
+    """Answer one parsed ``repro query``: exit 0 with the rendered rows
+    on stdout (any note on stderr), 1 on a storage/IO/value error, 2 on
+    a usage error."""
     try:
-        result = query_group.main(
-            args=list(argv), prog_name="repro query", standalone_mode=False
-        )
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.exceptions.Abort:
-        click.echo("aborted", err=True)
-        return 130
-    except click.ClickException as exc:
-        exc.show()
-        return exc.exit_code
-    return int(result) if isinstance(result, int) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(run_query(sys.argv[1:]))
+        if (args.workspace is None) == (args.server is None):
+            raise argparse.ArgumentTypeError(
+                "give exactly one of --workspace/-w or --server/-s"
+            )
+        server = None
+        if args.server is not None:
+            try:
+                server = parse_host_port(args.server)
+            except StorageError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from None
+        columns, rows, note = args.answer(QueryTarget(args.workspace, server), args)
+    except argparse.ArgumentTypeError as exc:
+        args.parser.print_usage(sys.stderr)
+        print(f"{args.parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
+    except (StorageError, OSError, ValueError) as exc:
+        print(f"Error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    if note:
+        print(note, file=sys.stderr)
+    print(format_output(columns, rows, args.format))
+    return 0

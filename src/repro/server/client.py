@@ -352,11 +352,16 @@ class ServerClient(KVClient):
         return protocol.decode_root_response(body)
 
 
-def _parse_addr(addr: str) -> Tuple[str, int]:
-    """``host:port`` -> ``(host, port)`` (the referral payload shape)."""
-    host, _, port = addr.rpartition(":")
+def parse_host_port(value: str) -> Tuple[str, int]:
+    """``"host:port"`` -> ``(host, port)``; the one address parser.
+
+    Splits at the last colon (referral payloads, manifests and CLI flags
+    all use this shape).  A malformed value raises :class:`StorageError`
+    naming it.
+    """
+    host, _, port = value.rpartition(":")
     if not host or not port.isdigit():
-        raise StorageError(f"malformed primary address {addr!r}")
+        raise StorageError(f"expected HOST:PORT, got {value!r}")
     return host, int(port)
 
 
@@ -518,7 +523,7 @@ class ReplicatedClient(KVClient):
             # the server that will accept the write — follow it.
             self.redirects += 1
             redirected = ServerClient(
-                *_parse_addr(exc.address), pool_size=self.pool_size
+                *parse_host_port(exc.address), pool_size=self.pool_size
             )
             await redirected.connect()
             stale, self._primary = self._primary, redirected
@@ -584,7 +589,7 @@ Target = Union[str, Tuple[str, int]]
 def _to_addr(target: Target) -> Tuple[str, int]:
     """Accept ``"host:port"`` or ``(host, port)``; return the tuple."""
     if isinstance(target, str):
-        return _parse_addr(target)
+        return parse_host_port(target)
     host, port = target
     return host, int(port)
 

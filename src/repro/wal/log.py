@@ -48,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.debuglock import maybe_debug_lock
 from repro.common.errors import StorageError
+from repro.diskio.durable import atomic_write, fsync_dir
 from repro.sharding.router import shard_of
 from repro.wal.record import (
     ScanResult,
@@ -66,15 +67,6 @@ SYNC_POLICIES = ("none", "batch", "always")
 
 def segment_name(seq: int) -> str:
     return f"{SEGMENT_PREFIX}{seq:08d}{SEGMENT_SUFFIX}"
-
-
-def _fsync_dir(path: str) -> None:
-    """fsync a directory so freshly created entries survive a crash."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def _segment_seq(name: str) -> Optional[int]:
@@ -173,13 +165,7 @@ class WriteAheadLog:
                     "replay it with the original shard count first"
                 )
             return
-        temp = path + ".tmp"
-        with open(temp, "w", encoding="utf-8") as handle:
-            json.dump({"format": 1, "num_shards": self.num_shards}, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-        _fsync_dir(self.directory)
+        atomic_write(path, json.dumps({"format": 1, "num_shards": self.num_shards}))
 
     def shard_dir(self, index: int) -> str:
         return os.path.join(self.directory, f"shard-{index:02d}")
@@ -363,7 +349,7 @@ class WriteAheadLog:
             for handle in to_sync:
                 os.fsync(handle.fileno())
             for path in dirs_to_sync:
-                _fsync_dir(path)
+                fsync_dir(path)
             # Settle only segments whose handle this pass captured: a
             # segment sealed *during* the fsyncs (its handle was the
             # active one we captured) may have gained pre-seal bytes

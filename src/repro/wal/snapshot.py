@@ -47,6 +47,7 @@ from repro.common.errors import IntegrityError, StorageError
 from repro.common.hashing import hash_concat
 from repro.core.manifest import MANIFEST_NAME, load_manifest
 from repro.core.run import RUN_SUFFIXES
+from repro.diskio.durable import atomic_write
 from repro.wal.log import WriteAheadLog
 
 SNAPSHOT_META_NAME = "SNAPSHOT.json"
@@ -253,13 +254,7 @@ def snapshot_store(
                 os.path.abspath(parent), os.path.abspath(dest)
             )
             meta["parent_root"] = parent_meta["root_digest"]
-    meta_path = os.path.join(dest, SNAPSHOT_META_NAME)
-    temp_path = meta_path + ".tmp"
-    with open(temp_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=1)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp_path, meta_path)
+    atomic_write(os.path.join(dest, SNAPSHOT_META_NAME), json.dumps(meta, indent=1))
     return meta
 
 

@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
+import os
 import random
+import subprocess
+import sys
 
-from repro.cli import main
+import pytest
+
+from repro.cli import build_parser, main
+from repro.common.errors import StorageError
 from repro.common.params import ColeParams, SystemParams
 from repro.core import Cole
+from repro.server.client import parse_host_port
 
 
 def build_workspace(directory):
@@ -191,3 +198,53 @@ def test_restore_rejects_corrupted_snapshot(tmp_path, capsys):
 
     with pytest.raises(IntegrityError):
         main(["restore", snap, str(tmp_path / "restored")])
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        ("127.0.0.1:7407", ("127.0.0.1", 7407)),
+        ("localhost:0", ("localhost", 0)),
+        ("::1:9000", ("::1", 9000)),  # splits at the last colon
+    ],
+)
+def test_parse_host_port_accepts(value, expected):
+    assert parse_host_port(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value", ["", "bad", "host:", ":80", "host:port", "host:-1", "host:8 0"]
+)
+def test_parse_host_port_rejects_naming_the_value(value):
+    with pytest.raises(StorageError, match=f"HOST:PORT, got {value!r}"):
+        parse_host_port(value)
+
+
+def test_malformed_replica_of_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "ws", "--replica-of", "nope"])
+    assert exc.value.code == 2
+    assert "expected HOST:PORT, got 'nope'" in capsys.readouterr().err
+
+
+def test_query_runs_without_click(tmp_path):
+    """`repro query` is argparse-only: it answers with click unimportable."""
+    directory = str(tmp_path / "ws")
+    build_workspace(directory)
+    script = (
+        "import sys; sys.modules['click'] = None\n"
+        "from repro.cli import main\n"
+        f"sys.exit(main(['query', '-w', {directory!r}, 'levels']))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    header = result.stdout.splitlines()[0].split()
+    assert header == ["shard", "level", "group", "run", "entries", "bytes"]

@@ -30,6 +30,7 @@ import threading
 import pytest
 
 from repro.cluster import (
+    ClusterClient,
     ClusterManifest,
     ClusterNode,
     NodeThread,
@@ -629,3 +630,58 @@ def test_killed_migration_target_leaves_source_authoritative(tmp_path):
             proc.kill()
             proc.wait(timeout=15)
         thread.stop()
+
+
+def test_referral_ping_pong_backs_off_until_promote(monkeypatch):
+    """Between cutover and promote the source answers MOVED naming the
+    target, and the target, still a replica, answers NOT_PRIMARY naming
+    the source; a refresh from a node still at epoch 0 reverts the
+    client's same-epoch patch.  Referral retries must back off like
+    connection-failure retries do, so the promote lands inside the
+    retry budget instead of after every attempt is spent."""
+    manifest = plan_manifest(1, 1)
+    source = manifest.address_of(0)
+    target = "127.0.0.1:7999"  # the migration target (never dialled)
+    promote_after = 0.05
+    sleeps = []
+    real_sleep = asyncio.sleep
+
+    async def recording_sleep(delay, *args, **kwargs):
+        sleeps.append(delay)
+        return await real_sleep(delay, *args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "sleep", recording_sleep)
+
+    class PingPong:
+        def __init__(self, address):
+            self.address = address
+
+        async def put(self, addr, value):
+            promoted = asyncio.get_running_loop().time() >= promoted_at
+            if self.address == target:
+                if promoted:
+                    return 7
+                raise NotPrimaryError(source)
+            raise MovedError(target, 1, 0)
+
+    async def client_for(address):
+        return PingPong(address)
+
+    async def stale_fetch(addresses):
+        return manifest  # every reachable node still serves epoch 0
+
+    async def scenario():
+        nonlocal promoted_at
+        client = ClusterClient(manifest=manifest, retry_delay=0.02)
+        client._client_for = client_for
+        client._fetch_manifest = stale_fetch
+        await client.connect()
+        promoted_at = asyncio.get_running_loop().time() + promote_after
+        return await client.put(addr_of(1), value_of(1)), client
+
+    promoted_at = 0.0
+    height, client = asyncio.run(scenario())
+    assert height == 7
+    assert client.moved_retries >= 2
+    assert sleeps and all(delay > 0 for delay in sleeps)
+    assert sum(sleeps) >= promote_after

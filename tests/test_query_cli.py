@@ -22,9 +22,6 @@ from repro.obs.registry import parse_exposition
 from repro.server import ServerClient, ServerConfig, ServerThread
 from repro.wal import WriteAheadLog
 
-# The query CLI itself is click-based (imported lazily by repro.cli).
-pytest.importorskip("click")
-
 # Default system geometry (32-byte addresses): what `repro serve` uses,
 # and what `query audit` pads hex prefixes to by default.
 PARAMS = ColeParams(mem_capacity=64, size_ratio=2, async_merge=True)
